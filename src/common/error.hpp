@@ -41,19 +41,44 @@ class InternalError : public std::logic_error
 /** Throw an InternalError; use for conditions that indicate a bug. */
 [[noreturn]] void panic(const std::string &msg);
 
-/** Throw an Error unless @p cond holds. */
+/**
+ * Throw an Error if @p cond holds. The literal overload allocates
+ * nothing when the check passes; a formatted message must be built
+ * only after the failure, with the one idiom
+ *
+ *     if (cond) [[unlikely]]
+ *         fatal("..." + std::to_string(x));
+ *
+ * so hot paths never pay for a message they do not throw.
+ */
 inline void
-fatalIf(bool cond, const std::string &msg)
+fatalIf(bool cond, const char *msg)
 {
-    if (cond)
+    if (cond) [[unlikely]]
         fatal(msg);
 }
 
-/** Throw an InternalError unless @p cond holds. */
+/** Throw an Error if @p cond holds (pre-built message: cold paths). */
+inline void
+fatalIf(bool cond, const std::string &msg)
+{
+    if (cond) [[unlikely]]
+        fatal(msg);
+}
+
+/** Throw an InternalError if @p cond holds; see fatalIf. */
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond) [[unlikely]]
+        panic(msg);
+}
+
+/** Throw an InternalError if @p cond holds (pre-built message). */
 inline void
 panicIf(bool cond, const std::string &msg)
 {
-    if (cond)
+    if (cond) [[unlikely]]
         panic(msg);
 }
 

@@ -30,8 +30,11 @@ leadsWithMasks(const Word *ops, size_t n)
 
 void
 buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
-                const HTree &htree, MaskState &mask, BatchTrace &batch)
+                const HTree &htree,
+                const std::shared_ptr<HalfGateTable> &gates,
+                MaskState &mask, BatchTrace &batch)
 {
+    batch.gates = gates;
     batch.geoRows = geo.rows;
     batch.geoCols = geo.cols;
     batch.geoPartitions = geo.partitions;
@@ -64,8 +67,8 @@ buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
         while (j < n && !isBarrierOp(enc::peekType(ops[j])))
             ++j;
         SegmentTrace &trace = batch.nextSegment(geo.rows);
-        buildSegmentTrace(ops + i, j - i, geo, mask, batch.stats,
-                          trace);
+        buildSegmentTrace(ops + i, j - i, geo, *gates, mask,
+                          batch.stats, trace);
         if (trace.empty()) {
             --batch.used;  // mask-only segment: arena back to the pool
         } else {
@@ -121,9 +124,7 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 fn(p * pw + op.index);
             break;
           case OpType::LogicH: {
-            const HalfGates &hg = t.halfGates[op.hg];
-            for (uint32_t s = 0; s < hg.numSections; ++s) {
-                const Section &sec = hg.sections[s];
+            for (const Section &sec : op.hg->sections) {
                 if (!sec.active())
                     continue;
                 if (sec.outCol >= 0)
@@ -159,10 +160,9 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
     // True iff no live op after index i touched any active output
     // column of INIT half-gates @p hg (i.e. the INIT may legally move
     // forward past everything since).
-    const auto outsUntouchedSince = [&](const HalfGates &hg,
+    const auto outsUntouchedSince = [&](const GateSections &hg,
                                         int64_t i) {
-        for (uint32_t s = 0; s < hg.numSections; ++s) {
-            const Section &sec = hg.sections[s];
+        for (const Section &sec : hg.sections) {
             if (sec.active() &&
                 touched[static_cast<uint32_t>(sec.outCol)] > i)
                 return false;
@@ -172,9 +172,8 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
 
     for (size_t j = 0; j < n; ++j) {
         TraceOp &op = t.ops[j];
-        const Gate hgGate = op.type == OpType::LogicH
-                                ? t.halfGates[op.hg].gate
-                                : Gate::Init0;
+        const Gate hgGate =
+            op.type == OpType::LogicH ? op.hg->gate : Gate::Init0;
         const bool isInit1 = op.type == OpType::LogicH &&
                              !op.fusedInit && hgGate == Gate::Init1;
         const bool isGate =
@@ -212,10 +211,9 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 if (init.xb != op.xb ||
                     !rowEqual(init.rowMask, op.rowMask))
                     continue;
-                const HalfGates &ih = t.halfGates[init.hg];
-                if (!fusableInitNor(ih, t.halfGates[op.hg]))
+                if (!fusableInitNor(*init.hg, *op.hg))
                     continue;
-                if (!outsUntouchedSince(ih,
+                if (!outsUntouchedSince(*init.hg,
                                         static_cast<int64_t>(i)))
                     continue;
                 dead[i] = 1;
@@ -227,6 +225,8 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
             // INIT1 chain: fold an earlier INIT1 into this one by
             // appending its sections (independent columns; INIT1 on a
             // shared column is idempotent, so overlap is harmless).
+            // Copy-on-merge: op.hg is a shared table entry, so the
+            // result goes to a new entry this segment owns.
             for (auto it = initWindow.rbegin();
                  it != initWindow.rend(); ++it) {
                 const size_t i = *it;
@@ -236,20 +236,23 @@ fuseSegment(SegmentTrace &t, const Geometry &geo,
                 if (init.xb != op.xb ||
                     !rowEqual(init.rowMask, op.rowMask))
                     continue;
-                const HalfGates &src = t.halfGates[init.hg];
-                HalfGates &dst = t.halfGates[op.hg];
-                uint32_t active = 0;
-                for (uint32_t s = 0; s < src.numSections; ++s)
-                    active += src.sections[s].active() ? 1 : 0;
-                if (dst.numSections + active > maxPartitions)
-                    continue;  // section arena full: skip this pair
+                const GateSections &src = *init.hg;
+                const size_t active = static_cast<size_t>(std::count_if(
+                    src.sections.begin(), src.sections.end(),
+                    [](const Section &sec) { return sec.active(); }));
+                // Bound kept from the fixed-size HalfGates arena:
+                // fusableInitNor buffers up to maxPartitions outputs.
+                if (op.hg->sections.size() + active > maxPartitions)
+                    continue;
                 if (!outsUntouchedSince(src,
                                         static_cast<int64_t>(i)))
                     continue;
-                for (uint32_t s = 0; s < src.numSections; ++s)
-                    if (src.sections[s].active())
-                        dst.sections[dst.numSections++] =
-                            src.sections[s];
+                auto dst = std::make_unique<GateSections>(*op.hg);
+                for (const Section &sec : src.sections)
+                    if (sec.active())
+                        dst->sections.push_back(sec);
+                op.hg = dst.get();
+                t.merged.push_back(std::move(dst));
                 dead[i] = 1;
                 ++fusion.initChain;
                 break;

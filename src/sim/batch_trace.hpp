@@ -32,6 +32,7 @@
 #define PYPIM_SIM_BATCH_TRACE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
@@ -79,6 +80,12 @@ struct BatchTrace
 
     std::vector<Item> items;
     std::vector<SegmentTrace> segments;
+    /**
+     * The device expansion table the segments' LogicH ops point into
+     * (TraceOp::hg). Held so a cached handle stays valid after the
+     * device that built it is gone.
+     */
+    std::shared_ptr<const HalfGateTable> gates;
     uint32_t used = 0;  //!< segment arenas in use this batch
     /**
      * Compiled form of segments[0..used), filled by compileBatchTrace
@@ -168,11 +175,13 @@ bool leadsWithMasks(const Word *ops, size_t n);
  * and snapshotted, data-less Reads validated and absorbed. Records
  * the architectural stats into batch.stats — including the valid
  * prefix when a malformed op throws — and advances @p mask past the
- * stream, capturing the final state in the batch.
+ * stream, capturing the final state in the batch. LogicH expansions
+ * are interned in @p gates, which the batch keeps alive.
  */
 void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
-                     const HTree &htree, MaskState &mask,
-                     BatchTrace &batch);
+                     const HTree &htree,
+                     const std::shared_ptr<HalfGateTable> &gates,
+                     MaskState &mask, BatchTrace &batch);
 
 /**
  * Window-based peephole fusion over every segment of @p batch; run
@@ -185,7 +194,9 @@ void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
  *  - INIT1 chain merging: an INIT1 is folded into a later INIT1 under
  *    identical masks by appending its half-gate sections (INIT
  *    sections are independent per column and INIT1 is idempotent), as
- *    long as nothing touches its output columns in between.
+ *    long as nothing touches its output columns in between. The
+ *    merged expansion is written to a new segment-owned entry
+ *    (SegmentTrace::merged); the shared table entries stay as built.
  *  - Windowed INIT1->NOR/NOT fusion: the builder's adjacent fusion
  *    generalised — the INIT may sit several ops back, provided masks
  *    match, the alias guard holds (fusableInitNor) and no intervening

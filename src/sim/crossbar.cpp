@@ -215,7 +215,7 @@ Crossbar::blockIfPresent(uint32_t col, uint32_t b)
 // --- horizontal logic ---------------------------------------------------
 
 void
-Crossbar::logicH(const HalfGates &hg, std::span<const uint64_t> rowMask)
+Crossbar::logicH(const GateSections &hg, std::span<const uint64_t> rowMask)
 {
     panicIf(rowMask.size() != wordsPerCol_,
             "logicH: row mask width mismatch");
@@ -223,8 +223,7 @@ Crossbar::logicH(const HalfGates &hg, std::span<const uint64_t> rowMask)
         logicHPaged(hg, rowMask);
         return;
     }
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
@@ -253,7 +252,7 @@ Crossbar::logicH(const HalfGates &hg, std::span<const uint64_t> rowMask)
 }
 
 void
-Crossbar::logicHPaged(const HalfGates &hg,
+Crossbar::logicHPaged(const GateSections &hg,
                       std::span<const uint64_t> rowMask)
 {
     // A block where the realized row mask is all-zero is untouched by
@@ -264,8 +263,7 @@ Crossbar::logicHPaged(const HalfGates &hg,
         maskNZ[b] =
             !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
 
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
@@ -335,7 +333,7 @@ Crossbar::logicHPaged(const HalfGates &hg,
 }
 
 void
-Crossbar::logicHFusedInit1(const HalfGates &hg,
+Crossbar::logicHFusedInit1(const GateSections &hg,
                            std::span<const uint64_t> rowMask)
 {
     panicIf(rowMask.size() != wordsPerCol_,
@@ -344,8 +342,7 @@ Crossbar::logicHFusedInit1(const HalfGates &hg,
         logicHFusedInit1Paged(hg, rowMask);
         return;
     }
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
@@ -361,7 +358,7 @@ Crossbar::logicHFusedInit1(const HalfGates &hg,
 }
 
 void
-Crossbar::logicHFusedInit1Paged(const HalfGates &hg,
+Crossbar::logicHFusedInit1Paged(const GateSections &hg,
                                 std::span<const uint64_t> rowMask)
 {
     uint8_t maskNZ[kMaxBlocksPerCol];
@@ -369,8 +366,7 @@ Crossbar::logicHFusedInit1Paged(const HalfGates &hg,
         maskNZ[b] =
             !allZero(rowMask.data() + b * kBlockWords, blockWords(b));
 
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
@@ -402,7 +398,7 @@ Crossbar::logicHFusedInit1Paged(const HalfGates &hg,
 }
 
 void
-Crossbar::logicHFull(const HalfGates &hg)
+Crossbar::logicHFull(const GateSections &hg)
 {
     if (storage_ == XbarStorage::Paged) {
         logicHFullPaged(hg);
@@ -410,8 +406,7 @@ Crossbar::logicHFull(const HalfGates &hg)
     }
     // All-ones realized mask: INIT is a fill and the gates drop the
     // blend — bit-identical to logicH under that mask.
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
@@ -438,12 +433,11 @@ Crossbar::logicHFull(const HalfGates &hg)
 }
 
 void
-Crossbar::logicHFullPaged(const HalfGates &hg)
+Crossbar::logicHFullPaged(const GateSections &hg)
 {
     // Every block is mask-selected, so the per-block mask-nonzero
     // scan of the masked kernel disappears entirely.
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
@@ -490,14 +484,13 @@ Crossbar::logicHFullPaged(const HalfGates &hg)
 }
 
 void
-Crossbar::logicHFusedInit1Full(const HalfGates &hg)
+Crossbar::logicHFusedInit1Full(const GateSections &hg)
 {
     if (storage_ == XbarStorage::Paged) {
         logicHFusedInit1FullPaged(hg);
         return;
     }
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         uint64_t *out = colWords(static_cast<uint32_t>(sec.outCol));
@@ -512,10 +505,9 @@ Crossbar::logicHFusedInit1Full(const HalfGates &hg)
 }
 
 void
-Crossbar::logicHFusedInit1FullPaged(const HalfGates &hg)
+Crossbar::logicHFusedInit1FullPaged(const GateSections &hg)
 {
-    for (uint32_t s = 0; s < hg.numSections; ++s) {
-        const Section &sec = hg.sections[s];
+    for (const Section &sec : hg.sections) {
         if (!sec.active())
             continue;
         const uint32_t outCol = static_cast<uint32_t>(sec.outCol);
@@ -676,7 +668,7 @@ Crossbar::replaySegment(const SegmentTrace &trace, uint32_t self,
             break;
           }
           case OpType::LogicH: {
-            const HalfGates &hg = trace.halfGates[op.hg];
+            const GateSections &hg = *op.hg;
             const bool full = trace.rowMaskFull[op.rowMask] != 0;
             if (op.fusedInit) {
                 if (full)

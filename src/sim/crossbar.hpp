@@ -127,7 +127,7 @@ class Crossbar
      * Execute an expanded horizontal logic op on all mask-selected
      * rows (@p rowMask is the realized row-mask bit vector).
      */
-    void logicH(const HalfGates &hg, std::span<const uint64_t> rowMask);
+    void logicH(const GateSections &hg, std::span<const uint64_t> rowMask);
 
     /**
      * INIT1 of the output columns fused with the NOR/NOT expanded in
@@ -136,7 +136,7 @@ class Crossbar
      * when no input aliases an output (the trace builder's fusion
      * precondition).
      */
-    void logicHFusedInit1(const HalfGates &hg,
+    void logicHFusedInit1(const GateSections &hg,
                           std::span<const uint64_t> rowMask);
 
     /**
@@ -145,8 +145,8 @@ class Crossbar
      * a fill, gates and writes drop the `& mask` term from the inner
      * word loop. Bit-identical to the masked forms under that mask.
      */
-    void logicHFull(const HalfGates &hg);
-    void logicHFusedInit1Full(const HalfGates &hg);
+    void logicHFull(const GateSections &hg);
+    void logicHFusedInit1Full(const GateSections &hg);
     void writeFull(uint32_t slot, uint32_t value);
     void writeStripeFull(std::span<const StripeWrite> ws);
 
@@ -419,12 +419,12 @@ class Crossbar
     // Paged op bodies (crossbar.cpp); the public entry points branch
     // once per op so the dense loops stay byte-identical to the
     // historical implementation.
-    void logicHPaged(const HalfGates &hg,
+    void logicHPaged(const GateSections &hg,
                      std::span<const uint64_t> rowMask);
-    void logicHFusedInit1Paged(const HalfGates &hg,
+    void logicHFusedInit1Paged(const GateSections &hg,
                                std::span<const uint64_t> rowMask);
-    void logicHFullPaged(const HalfGates &hg);
-    void logicHFusedInit1FullPaged(const HalfGates &hg);
+    void logicHFullPaged(const GateSections &hg);
+    void logicHFusedInit1FullPaged(const GateSections &hg);
     void writeFullPaged(uint32_t slot, uint32_t value);
     void writeStripeFullPaged(std::span<const StripeWrite> ws);
     /**

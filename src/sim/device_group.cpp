@@ -20,6 +20,7 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     : geo_(geo)
 {
     geo_.validate();
+    gates_ = std::make_shared<HalfGateTable>(geo_);
     uint32_t n = std::max(1u, ec.devices);
     fatalIf(!isPow2(n),
             "devices: " + std::to_string(n) +
@@ -60,7 +61,7 @@ SimulatorGroup::SimulatorGroup(const Geometry &geo,
     sims_.reserve(n);
     for (uint32_t d = 0; d < n; ++d)
         sims_.push_back(std::make_unique<Simulator>(
-            geo_, sub, d * perDevice_, perDevice_));
+            geo_, sub, d * perDevice_, perDevice_, gates_));
 
     // Fault tolerance: the spec is validated HERE (a PYPIM_FAULTS
     // typo throws at device construction, never silently runs
@@ -414,7 +415,7 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse)
     // install it once per worker and replay by signature thereafter.
     if (remote())
         return buildWireTrace(ops, n, fuse, remoteCompiled_, geo_,
-                              *htree_);
+                              *htree_, gates_);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
     return sims_[0]->prepareTrace(ops, n, fuse);

@@ -368,6 +368,12 @@ class SimulatorGroup : public OperationSink
     /** Socket transport (PYPIM_TRANSPORT=socket). Mutable: wire round
      *  trips bump telemetry even on const observability queries. */
     mutable std::unique_ptr<SocketTransport> transport_;
+    /**
+     * The logical device's interned LogicH expansions, shared by every
+     * in-process sub-device (all of them build on the submitting
+     * thread) and by the socket-mode host mirror below.
+     */
+    std::shared_ptr<HalfGateTable> gates_;
     /** Host-side trace-build mirror for prepareTrace (socket mode). */
     std::unique_ptr<HTree> htree_;
     /** Lower wire traces into compiled replay programs at freeze

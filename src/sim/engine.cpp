@@ -33,7 +33,7 @@ ExecutionEngine::serialPerform(const MicroOp &op)
         doWrite(op);
         break;
       case OpType::LogicH:
-        doLogicH(op);
+        doLogicH(op.encode());
         break;
       case OpType::LogicV:
         doLogicV(op);
@@ -66,12 +66,12 @@ validateRead(const MicroOp &op, const Range &xb, const Range &row,
 {
     panicIf(op.type != OpType::Read, "read: wrong op type");
     fatalIf(op.index >= geo.slots(), "read: slot index out of range");
-    fatalIf(xb.count() != 1,
-            "read: crossbar mask must select exactly one crossbar "
-            "(paper III-C), selects " + std::to_string(xb.count()));
-    fatalIf(row.count() != 1,
-            "read: row mask must select exactly one row (paper III-C), "
-            "selects " + std::to_string(row.count()));
+    if (xb.count() != 1) [[unlikely]]
+        fatal("read: crossbar mask must select exactly one crossbar "
+              "(paper III-C), selects " + std::to_string(xb.count()));
+    if (row.count() != 1) [[unlikely]]
+        fatal("read: row mask must select exactly one row (paper "
+              "III-C), selects " + std::to_string(row.count()));
 }
 
 int64_t
@@ -222,14 +222,14 @@ ExecutionEngine::doWrite(const MicroOp &op)
 }
 
 void
-ExecutionEngine::doLogicH(const MicroOp &op)
+ExecutionEngine::doLogicH(Word w)
 {
-    const HalfGates hg = expandLogicH(op, geo_);
+    const GateSections &hg = gates_.lookup(w);
     forEachOwned(mask_.xb, [&](uint32_t xb) {
         xbAt(xb).logicH(hg, mask_.rowWords);
     });
     stats_.record(OpClass::LogicH);
-    if (op.gate == Gate::Nor || op.gate == Gate::Not)
+    if (hg.gate == Gate::Nor || hg.gate == Gate::Not)
         ++stats_.logicGates;
     else
         ++stats_.logicInits;
@@ -289,20 +289,21 @@ ExecutionEngine::applyMove(const MicroOp &op, const Range &xb)
 std::unique_ptr<ExecutionEngine>
 makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
-           const HTree &htree, MaskState &mask, Stats &stats)
+           const HTree &htree, HalfGateTable &gates, MaskState &mask,
+           Stats &stats)
 {
     switch (cfg.kind) {
       case EngineKind::Sharded:
         return std::make_unique<ShardedEngine>(
-            geo, xbs, xbBase, htree, mask, stats,
+            geo, xbs, xbBase, htree, gates, mask, stats,
             cfg.resolvedThreads(), cfg.affinity);
       case EngineKind::Trace:
         return std::make_unique<TraceEngine>(geo, xbs, xbBase, htree,
-                                             mask, stats);
+                                             gates, mask, stats);
       case EngineKind::Serial:
       default:
         return std::make_unique<SerialEngine>(geo, xbs, xbBase, htree,
-                                              mask, stats);
+                                              gates, mask, stats);
     }
 }
 

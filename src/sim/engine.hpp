@@ -70,9 +70,9 @@ class ExecutionEngine
   public:
     ExecutionEngine(const Geometry &geo, std::vector<Crossbar> &xbs,
                     uint32_t xbBase, const HTree &htree,
-                    MaskState &mask, Stats &stats)
+                    HalfGateTable &gates, MaskState &mask, Stats &stats)
         : geo_(geo), xbs_(xbs), xbBase_(xbBase), htree_(htree),
-          mask_(mask), stats_(stats)
+          gates_(gates), mask_(mask), stats_(stats)
     {
     }
 
@@ -187,7 +187,8 @@ class ExecutionEngine
     void doCrossbarMask(const MicroOp &op);
     void doRowMask(const MicroOp &op);
     void doWrite(const MicroOp &op);
-    void doLogicH(const MicroOp &op);
+    /** LogicH by raw word: the expansion is a table lookup. */
+    void doLogicH(Word w);
     void doLogicV(const MicroOp &op);
     void doMove(const MicroOp &op);
 
@@ -234,6 +235,8 @@ class ExecutionEngine
     std::vector<Crossbar> &xbs_;
     const uint32_t xbBase_;
     const HTree &htree_;
+    /** The device's LogicH expansions (owned by the Simulator). */
+    HalfGateTable &gates_;
     MaskState &mask_;
     Stats &stats_;
 
@@ -248,7 +251,8 @@ class ExecutionEngine
 std::unique_ptr<ExecutionEngine>
 makeEngine(const EngineConfig &cfg, const Geometry &geo,
            std::vector<Crossbar> &xbs, uint32_t xbBase,
-           const HTree &htree, MaskState &mask, Stats &stats);
+           const HTree &htree, HalfGateTable &gates, MaskState &mask,
+           Stats &stats);
 
 /**
  * Validate a Read against the mask state exactly as the serial

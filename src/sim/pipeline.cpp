@@ -7,11 +7,13 @@ namespace pypim
 {
 
 SimulatorPipeline::SimulatorPipeline(
-    const Geometry &geo, const HTree &htree, MaskState &mask,
-    Stats &stats, std::unique_ptr<ExecutionEngine> &engine,
+    const Geometry &geo, const HTree &htree,
+    std::shared_ptr<HalfGateTable> gates, MaskState &mask, Stats &stats,
+    std::unique_ptr<ExecutionEngine> &engine,
     std::function<void()> preReplay, std::function<void()> postReplay)
     : geo_(geo),
       htree_(htree),
+      gates_(std::move(gates)),
       mask_(mask),
       stats_(stats),
       engine_(engine),
@@ -49,7 +51,7 @@ SimulatorPipeline::submit(const Word *ops, size_t n)
     BatchTrace &batch = buffers_[buf];
     batch.clear();
     try {
-        buildBatchTrace(ops, n, geo_, htree_, mask_, batch);
+        buildBatchTrace(ops, n, geo_, htree_, gates_, mask_, batch);
     } catch (...) {
         // Report the malformed op at the submitBatch that contained
         // it; none of this batch reached a crossbar, but the valid

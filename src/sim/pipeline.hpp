@@ -89,6 +89,7 @@ class SimulatorPipeline
      * let the fault injector corrupt it.
      */
     SimulatorPipeline(const Geometry &geo, const HTree &htree,
+                      std::shared_ptr<HalfGateTable> gates,
                       MaskState &mask, Stats &stats,
                       std::unique_ptr<ExecutionEngine> &engine,
                       std::function<void()> preReplay = nullptr,
@@ -158,6 +159,8 @@ class SimulatorPipeline
 
     const Geometry &geo_;
     const HTree &htree_;
+    /** Looked up and grown on the producer thread only (submit). */
+    std::shared_ptr<HalfGateTable> gates_;
     MaskState &mask_;
     Stats &stats_;
     /** Owned by the Simulator; swapped only while the queue is idle. */

@@ -44,7 +44,7 @@ struct ColSet
 };
 
 ReplayProgram::SecKind
-sectionKind(const HalfGates &hg, bool fusedInit)
+sectionKind(const GateSections &hg, bool fusedInit)
 {
     if (fusedInit)
         return ReplayProgram::SecKind::FusedNotNor;
@@ -102,7 +102,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             break;
           }
           case OpType::LogicH: {
-            const HalfGates &hg = t.halfGates[op.hg];
+            const GateSections &hg = *op.hg;
             const ReplayProgram::SecKind kind =
                 sectionKind(hg, op.fusedInit);
             // Candidate footprint. A stateful gate also READS its
@@ -113,8 +113,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             candOuts.clear(colWords);
             candIns.clear(colWords);
             uint32_t nActive = 0;
-            for (uint32_t s = 0; s < hg.numSections; ++s) {
-                const Section &sec = hg.sections[s];
+            for (const Section &sec : hg.sections) {
                 if (!sec.active())
                     continue;
                 ++nActive;
@@ -149,8 +148,7 @@ compileSegmentProgram(const SegmentTrace &t, const Geometry &geo,
             ReplayProgram::Instr &pass = p.instrs[open];
             if (pass.passKind != static_cast<uint8_t>(kind))
                 pass.passKind = ReplayProgram::kMixedPass;
-            for (uint32_t s = 0; s < hg.numSections; ++s) {
-                const Section &sec = hg.sections[s];
+            for (const Section &sec : hg.sections) {
                 if (!sec.active())
                     continue;
                 ReplayProgram::PSection ps;

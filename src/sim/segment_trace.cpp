@@ -17,20 +17,17 @@ namespace pypim
  * expandLogicH, so the output sets compare positionally.
  */
 bool
-fusableInitNor(const HalfGates &init, const HalfGates &nor)
+fusableInitNor(const GateSections &init, const GateSections &nor)
 {
     if (init.gate != Gate::Init1)
         return false;
     int32_t outs[maxPartitions];
     uint32_t n = 0;
-    for (uint32_t s = 0; s < init.numSections; ++s) {
-        const Section &sec = init.sections[s];
+    for (const Section &sec : init.sections)
         if (sec.active())
             outs[n++] = sec.outCol;
-    }
     uint32_t m = 0;
-    for (uint32_t s = 0; s < nor.numSections; ++s) {
-        const Section &sec = nor.sections[s];
+    for (const Section &sec : nor.sections) {
         if (!sec.active())
             continue;
         if (m >= n || outs[m] != sec.outCol)
@@ -39,8 +36,7 @@ fusableInitNor(const HalfGates &init, const HalfGates &nor)
     }
     if (m != n)
         return false;
-    for (uint32_t s = 0; s < nor.numSections; ++s) {
-        const Section &sec = nor.sections[s];
+    for (const Section &sec : nor.sections) {
         for (uint32_t i = 0; i < sec.numIn; ++i)
             for (uint32_t j = 0; j < n; ++j)
                 if (sec.inCol[i] == outs[j])
@@ -51,7 +47,8 @@ fusableInitNor(const HalfGates &init, const HalfGates &nor)
 
 void
 buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
-                  MaskState &mask, Stats &stats, SegmentTrace &trace)
+                  HalfGateTable &gates, MaskState &mask, Stats &stats,
+                  SegmentTrace &trace)
 {
     trace.clear(geo.rows);
 
@@ -147,16 +144,14 @@ buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
                 ++stats.logicInits;
             TraceOp t;
             t.type = OpType::LogicH;
-            t.hg = static_cast<uint32_t>(trace.halfGates.size());
-            trace.halfGates.push_back(expandLogicH(op, geo));
+            t.hg = &gates.lookup(ops[i]);
             t.rowMask = rowSnapshot();
             t.xb = mask.xb;
             if ((op.gate == Gate::Nor || op.gate == Gate::Not) &&
                 lastInit >= 0) {
                 const TraceOp &init = trace.ops[lastInit];
                 if (init.xb == t.xb && init.rowMask == t.rowMask &&
-                    fusableInitNor(trace.halfGates[init.hg],
-                                   trace.halfGates[t.hg])) {
+                    fusableInitNor(*init.hg, *t.hg)) {
                     trace.ops.pop_back();
                     t.fusedInit = true;
                 }

@@ -16,8 +16,11 @@
  * SegmentTrace is the loop-invariant part, computed exactly once per
  * segment by buildSegmentTrace():
  *
- *  - decoded work ops (Write / LogicH / LogicV) with their LogicH
- *    half-gate expansions pre-computed into an arena;
+ *  - decoded work ops (Write / LogicH / LogicV); each LogicH points
+ *    at its expansion in the device's HalfGateTable
+ *    (uarch/partition.hpp), so a word met again — in this segment, a
+ *    later one, or the serial engine — is never re-expanded or
+ *    copied;
  *  - mask ops ABSORBED: each work op carries a snapshot of the
  *    effective crossbar mask and a handle to the expanded row-mask
  *    bit-vector in force when it executed (snapshots are deduplicated
@@ -37,12 +40,17 @@
  * pointers into mutable simulator state.
  *
  * All storage is arena-style and reused across segments/batches via
- * clear(), so steady-state building is allocation-free.
+ * clear(), so steady-state building is allocation-free. The one
+ * exception is INIT1-chain fusion (sim/batch_trace.hpp), which runs
+ * only on traces about to be cached: a merged expansion is a new
+ * segment-owned entry (copy-on-merge), never an edit of the shared
+ * table entry other traces and engines point at.
  */
 #ifndef PYPIM_SIM_SEGMENT_TRACE_HPP
 #define PYPIM_SIM_SEGMENT_TRACE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -103,7 +111,9 @@ struct TraceOp
     bool fusedInit = false;
     uint32_t index = 0;         //!< write / logicV slot
     uint32_t value = 0;         //!< write payload
-    uint32_t hg = 0;            //!< LogicH: SegmentTrace::halfGates index
+    /** LogicH: the interned expansion (a HalfGateTable entry, or a
+     *  SegmentTrace::merged entry after INIT1-chain fusion). */
+    const GateSections *hg = nullptr;
     uint32_t rowMask = 0;       //!< write/logicH: row-snapshot id
     uint32_t rowIn = 0, rowOut = 0;  //!< logicV rows
     /**
@@ -122,8 +132,12 @@ struct TraceOp
 struct SegmentTrace
 {
     std::vector<TraceOp> ops;
-    /** LogicH expansions referenced by TraceOp::hg. */
-    std::vector<HalfGates> halfGates;
+    /**
+     * Expansions this segment owns: INIT1-chain merge results
+     * (copy-on-merge, sim/batch_trace.hpp). Boxed so the addresses
+     * TraceOp::hg holds survive moves of the segment.
+     */
+    std::vector<std::unique_ptr<GateSections>> merged;
     /** Row-mask snapshots, wordsPerMask words each, back to back. */
     std::vector<uint64_t> rowWords;
     /**
@@ -148,7 +162,7 @@ struct SegmentTrace
     {
         wordsPerMask = (rows + 63) / 64;
         ops.clear();
-        halfGates.clear();
+        merged.clear();
         rowWords.clear();
         rowMaskFull.clear();
         writePairs.clear();
@@ -168,8 +182,6 @@ struct SegmentTrace
     bool empty() const { return ops.empty(); }
 };
 
-struct HalfGates;
-
 /**
  * True iff an INIT1 LogicH may be folded into the NOR/NOT @p nor:
  * both must drive exactly the same set of output columns, and no
@@ -178,7 +190,7 @@ struct HalfGates;
  * between the builder's adjacent fusion and the window fusion pass
  * (sim/batch_trace.hpp).
  */
-bool fusableInitNor(const HalfGates &init, const HalfGates &nor);
+bool fusableInitNor(const GateSections &init, const GateSections &nor);
 
 /**
  * Decode the barrier-free segment @p ops[0..n) into @p trace.
@@ -187,14 +199,16 @@ bool fusableInitNor(const HalfGates &init, const HalfGates &nor);
  * as the serial reference would (so a malformed op aborts BEFORE any
  * crossbar is touched), records the architectural @p stats, and
  * advances the authoritative @p mask state past the segment. It
- * touches no crossbar: O(n), not O(n * crossbars).
+ * touches no crossbar: O(n), not O(n * crossbars). LogicH expansions
+ * come from (and new words go into) @p gates, which must outlive the
+ * trace.
  *
  * Panics (InternalError) on a barrier op — callers split at
  * isBarrierOp() first.
  */
 void buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
-                       MaskState &mask, Stats &stats,
-                       SegmentTrace &trace);
+                       HalfGateTable &gates, MaskState &mask,
+                       Stats &stats, SegmentTrace &trace);
 
 } // namespace pypim
 

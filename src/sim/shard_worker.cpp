@@ -113,7 +113,8 @@ void
 handleTraceInstall(WorkerContext &ctx, const WireFrame &f)
 {
     auto trace = decodeTraceWire(f.payload.data(), f.payload.size(),
-                                 ctx.geo, ctx.sim.htree());
+                                 ctx.geo, ctx.sim.htree(),
+                                 ctx.sim.gates());
     ctx.traces[trace->wireSig] = std::move(trace);
 }
 

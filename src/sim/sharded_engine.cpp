@@ -35,9 +35,10 @@ pinBaseOf(uint32_t xbBase, size_t owned, uint32_t width)
 ShardedEngine::ShardedEngine(const Geometry &geo,
                              std::vector<Crossbar> &xbs,
                              uint32_t xbBase, const HTree &htree,
-                             MaskState &mask, Stats &stats,
-                             uint32_t threads, bool pinWorkers)
-    : ExecutionEngine(geo, xbs, xbBase, htree, mask, stats),
+                             HalfGateTable &gates, MaskState &mask,
+                             Stats &stats, uint32_t threads,
+                             bool pinWorkers)
+    : ExecutionEngine(geo, xbs, xbBase, htree, gates, mask, stats),
       pool_(clampWorkers(threads, xbs.size()), pinWorkers,
             pinBaseOf(xbBase, xbs.size(),
                       clampWorkers(threads, xbs.size()))),
@@ -49,7 +50,8 @@ void
 ShardedEngine::execute(const Word *ops, size_t n)
 {
     forEachSegment(ops, n, [&](const Word *seg, size_t len) {
-        buildSegmentTrace(seg, len, geo_, mask_, stats_, trace_);
+        buildSegmentTrace(seg, len, geo_, gates_, mask_, stats_,
+                          trace_);
         replayTrace(trace_);
     });
 }

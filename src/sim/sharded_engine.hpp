@@ -62,9 +62,9 @@ class ShardedEngine : public ExecutionEngine
      * thread-affinity support.
      */
     ShardedEngine(const Geometry &geo, std::vector<Crossbar> &xbs,
-                  uint32_t xbBase, const HTree &htree, MaskState &mask,
-                  Stats &stats, uint32_t threads,
-                  bool pinWorkers = false);
+                  uint32_t xbBase, const HTree &htree,
+                  HalfGateTable &gates, MaskState &mask, Stats &stats,
+                  uint32_t threads, bool pinWorkers = false);
 
     const char *name() const override { return "sharded"; }
     uint32_t threads() const override { return pool_.size(); }

@@ -15,12 +15,16 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec)
 }
 
 Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
-                     uint32_t sliceLo, uint32_t sliceCount)
+                     uint32_t sliceLo, uint32_t sliceCount,
+                     std::shared_ptr<HalfGateTable> gates)
     : geo_(geo),
       sliceLo_(sliceLo),
-      htree_(geo.numCrossbars)
+      htree_(geo.numCrossbars),
+      gates_(std::move(gates))
 {
     geo_.validate();
+    if (!gates_)
+        gates_ = std::make_shared<HalfGateTable>(geo_);
     fatalIf(sliceCount == 0 || sliceCount > geo_.numCrossbars ||
                 sliceLo > geo_.numCrossbars - sliceCount,
             "simulator: crossbar slice [" + std::to_string(sliceLo) +
@@ -31,8 +35,8 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
         xbs_.emplace_back(geo_, ec.storage);
     mask_.reset(geo_);
     compiledReplay_ = ec.compiledReplay;
-    engine_ =
-        makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
+    engine_ = makeEngine(ec, geo_, xbs_, sliceLo_, htree_, *gates_,
+                         mask_, stats_);
     if (ec.pipeline)
         makePipeline();
 }
@@ -41,7 +45,7 @@ void
 Simulator::makePipeline()
 {
     pipeline_ = std::make_unique<SimulatorPipeline>(
-        geo_, htree_, mask_, stats_, engine_,
+        geo_, htree_, gates_, mask_, stats_, engine_,
         [this] { verifyChecksums(); }, [this] { postReplayHook(); });
     // Satellite contract enforcement: snapshot()/restore() panic if a
     // replay is in flight instead of silently racing it.
@@ -54,13 +58,13 @@ Simulator::~Simulator() = default;
 void
 Simulator::checkOwned(uint32_t i) const
 {
-    fatalIf(!ownsCrossbar(i),
-            "crossbar " + std::to_string(i) +
-                " is outside this simulator's slice [" +
-                std::to_string(sliceLo_) + ", " +
-                std::to_string(sliceLo_ + sliceCount()) +
-                "); route through the owning sub-device "
-                "(SimulatorGroup::crossbar)");
+    if (!ownsCrossbar(i)) [[unlikely]]
+        fatal("crossbar " + std::to_string(i) +
+              " is outside this simulator's slice [" +
+              std::to_string(sliceLo_) + ", " +
+              std::to_string(sliceLo_ + sliceCount()) +
+              "); route through the owning sub-device "
+              "(SimulatorGroup::crossbar)");
 }
 
 StorageGauges
@@ -90,8 +94,8 @@ Simulator::setEngine(const EngineConfig &ec)
     // survives the swap: ec.storage is applied at construction only.
     drainPipeline();
     compiledReplay_ = ec.compiledReplay;
-    engine_ =
-        makeEngine(ec, geo_, xbs_, sliceLo_, htree_, mask_, stats_);
+    engine_ = makeEngine(ec, geo_, xbs_, sliceLo_, htree_, *gates_,
+                         mask_, stats_);
     if (ec.pipeline && !pipeline_) {
         makePipeline();
     } else if (!ec.pipeline) {
@@ -249,7 +253,7 @@ Simulator::prepareTrace(const Word *ops, size_t n, bool fuse)
     MaskState local;
     local.reset(geo_);
     try {
-        buildBatchTrace(ops, n, geo_, htree_, local, *batch);
+        buildBatchTrace(ops, n, geo_, htree_, gates_, local, *batch);
     } catch (...) {
         // Match the accounting of an uncached submit, which records
         // the valid prefix before throwing.

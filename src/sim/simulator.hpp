@@ -66,10 +66,13 @@ class Simulator : public OperationSink
      * broadcast to it, Moves apply only intra-slice transfers, and
      * Reads outside the slice validate, count and return 0. Cached
      * BatchTrace handles built by any same-geometry simulator replay
-     * unchanged on every slice.
+     * unchanged on every slice. Sub-devices of one logical device
+     * pass the device's shared expansion table as @p gates (null: a
+     * table of this simulator's own).
      */
     Simulator(const Geometry &geo, const EngineConfig &ec,
-              uint32_t sliceLo, uint32_t sliceCount);
+              uint32_t sliceLo, uint32_t sliceCount,
+              std::shared_ptr<HalfGateTable> gates = nullptr);
 
     // The engine holds references into the simulator's state.
     Simulator(const Simulator &) = delete;
@@ -133,6 +136,13 @@ class Simulator : public OperationSink
 
     const Geometry &geometry() const { return geo_; }
     const HTree &htree() const { return htree_; }
+    /** The device's interned LogicH expansions (uarch/partition.hpp).
+     *  Mutated only by the thread that submits to this simulator. */
+    const std::shared_ptr<HalfGateTable> &
+    gates() const
+    {
+        return gates_;
+    }
 
     /** First GLOBAL crossbar id this simulator owns (0 unless it is a
      *  sub-device slice). */
@@ -318,6 +328,8 @@ class Simulator : public OperationSink
     bool compiledReplay_ = true;
     std::vector<Crossbar> xbs_;
     HTree htree_;
+    /** Declared before engine_/pipeline_: their arenas point into it. */
+    std::shared_ptr<HalfGateTable> gates_;
     MaskState mask_;
     Stats stats_;
     std::unique_ptr<ExecutionEngine> engine_;

@@ -180,7 +180,8 @@ traceSignature(const Word *ops, size_t n, bool fuse)
 
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
-               const Geometry &geo, const HTree &htree)
+               const Geometry &geo, const HTree &htree,
+               const std::shared_ptr<HalfGateTable> &gates)
 {
     if (!leadsWithMasks(ops, n))
         return nullptr;
@@ -189,7 +190,7 @@ buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
     // mask state (Simulator::prepareTrace's local-MaskState mirror).
     MaskState local;
     local.reset(geo);
-    buildBatchTrace(ops, n, geo, htree, local, *batch);
+    buildBatchTrace(ops, n, geo, htree, gates, local, *batch);
     if (fuse)
         fuseBatchTrace(*batch, geo);
     if (compiled)
@@ -230,7 +231,8 @@ encodeTraceWire(const BatchTrace &trace)
 
 std::shared_ptr<const BatchTrace>
 decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
-                const HTree &htree)
+                const HTree &htree,
+                const std::shared_ptr<HalfGateTable> &gates)
 {
     ByteReader r(bytes, n);
     fatalIf(r.u32() != kTraceMagic,
@@ -271,7 +273,8 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     auto batch = std::make_shared<BatchTrace>();
     MaskState local;
     local.reset(geo);
-    buildBatchTrace(ops.data(), ops.size(), geo, htree, local, *batch);
+    buildBatchTrace(ops.data(), ops.size(), geo, htree, gates, local,
+                    *batch);
     if (fuse)
         fuseBatchTrace(*batch, geo);
 

@@ -42,6 +42,7 @@ namespace pypim
 {
 
 struct BatchTrace;
+class HalfGateTable;
 class HTree;
 
 /** Content address of a frozen trace: FNV-1a over the source micro-op
@@ -57,10 +58,13 @@ uint64_t traceSignature(const Word *ops, size_t n, bool fuse);
  * and stamped with its wire identity (BatchTrace::wireSig/sourceOps/
  * sourceFuse). Unlike the Simulator path, a malformed stream throws
  * without any stats side effect — the caller owns no counters.
+ * LogicH expansions are interned in @p gates (the logical device's
+ * table, on the host).
  */
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
-               const Geometry &geo, const HTree &htree);
+               const Geometry &geo, const HTree &htree,
+               const std::shared_ptr<HalfGateTable> &gates);
 
 /** Encode @p trace (which must carry its wire identity) into one
  *  self-contained image. */
@@ -70,12 +74,14 @@ std::vector<uint8_t> encodeTraceWire(const BatchTrace &trace);
  * Decode an image produced by encodeTraceWire into a freshly rebuilt
  * frozen trace for @p geo, verifying the magic/version/geometry
  * guards, the signature, and the architectural epilogue cross-check.
- * Shipped ReplayPrograms are installed verbatim. Throws pypim::Error
- * on any mismatch or truncation.
+ * Shipped ReplayPrograms are installed verbatim; the rebuild interns
+ * its LogicH expansions in @p gates (the receiving worker's table).
+ * Throws pypim::Error on any mismatch or truncation.
  */
 std::shared_ptr<const BatchTrace>
 decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
-                const HTree &htree);
+                const HTree &htree,
+                const std::shared_ptr<HalfGateTable> &gates);
 
 } // namespace pypim
 

@@ -32,6 +32,8 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_map>
+#include <vector>
 
 #include "common/config.hpp"
 #include "uarch/microop.hpp"
@@ -85,6 +87,72 @@ struct HalfGates
  * partition model.
  */
 HalfGates expandLogicH(const MicroOp &op, const Geometry &geo);
+
+/**
+ * The part of an expansion that replay consumes: the gate and its
+ * dynamic sections in ascending partition order, idle ones included
+ * (kernels skip them). The per-partition opcodes and transistor
+ * selects only serve validation and are dropped, so an entry costs
+ * tens of bytes per section instead of a fixed 1.7 KB HalfGates.
+ */
+struct GateSections
+{
+    Gate gate = Gate::Nor;
+    std::vector<Section> sections;
+
+    explicit GateSections(const HalfGates &hg)
+        : gate(hg.gate),
+          sections(hg.sections.begin(),
+                   hg.sections.begin() + hg.numSections)
+    {
+    }
+};
+
+/**
+ * One device's interned LogicH expansions, keyed by the 64-bit
+ * micro-op word. Expansion is a pure function of the word and the
+ * device's fixed Geometry, so each distinct word is expanded and
+ * validated once; every later occurrence — in the serial engine's
+ * op-major loop or in a segment trace build — is a hash lookup.
+ *
+ * Entries are immutable and never erased: their addresses stay valid
+ * for the table's lifetime, which is what lets a TraceOp reference an
+ * entry instead of copying it (a BatchTrace holds the table alive).
+ * Only successful expansions are cached; a malformed word throws the
+ * same InternalError from expandLogicH on every occurrence and leaves
+ * the table unchanged.
+ *
+ * Thread rule: lookup() (the only mutator) runs on the one thread
+ * that builds traces or executes batches for the device. Replay
+ * threads only dereference entries handed to them after publication.
+ */
+class HalfGateTable
+{
+  public:
+    explicit HalfGateTable(const Geometry &geo) : geo_(geo) {}
+
+    HalfGateTable(const HalfGateTable &) = delete;
+    HalfGateTable &operator=(const HalfGateTable &) = delete;
+
+    /** Interned expansion of the LogicH word @p w. */
+    const GateSections &
+    lookup(Word w)
+    {
+        const auto it = entries_.find(w);
+        if (it != entries_.end()) [[likely]]
+            return it->second;
+        GateSections g(expandLogicH(MicroOp::decode(w), geo_));
+        return entries_.emplace(w, std::move(g)).first->second;
+    }
+
+    /** Distinct words expanded so far (one expansion each). */
+    size_t size() const { return entries_.size(); }
+
+  private:
+    const Geometry geo_;
+    /** Node-based: rehashing never moves an entry. */
+    std::unordered_map<Word, GateSections> entries_;
+};
 
 } // namespace pypim
 

@@ -21,12 +21,13 @@ using namespace pypim;
 namespace
 {
 
-HalfGates
+GateSections
 gateOn(const Geometry &geo, Gate g, uint32_t a, uint32_t b,
        uint32_t out)
 {
     const uint32_t pOut = out / geo.partitionWidth();
-    return expandLogicH(MicroOp::logicH(g, a, b, out, pOut, 0), geo);
+    return GateSections(
+        expandLogicH(MicroOp::logicH(g, a, b, out, pOut, 0), geo));
 }
 
 class CrossbarTest : public ::testing::TestWithParam<XbarStorage>
@@ -39,7 +40,7 @@ class CrossbarTest : public ::testing::TestWithParam<XbarStorage>
     {
     }
 
-    HalfGates
+    GateSections
     gate(Gate g, uint32_t a, uint32_t b, uint32_t out)
     {
         return gateOn(geo, g, a, b, out);
@@ -114,9 +115,9 @@ TEST_P(CrossbarTest, RowMaskSkipsDeselectedRows)
 TEST_P(CrossbarTest, ParallelPatternActsPerPartition)
 {
     // NOR(slot0, slot1) -> slot2 in all 32 partitions in one op.
-    const HalfGates hg = expandLogicH(
+    const GateSections hg(expandLogicH(
         MicroOp::logicH(Gate::Nor, geo.column(0, 0), geo.column(1, 0),
-                        geo.column(2, 0), geo.partitions - 1, 1), geo);
+                        geo.column(2, 0), geo.partitions - 1, 1), geo));
     xb.writeRow(0, 0x0F0F0F0F, 3);
     xb.writeRow(1, 0x00FF00FF, 3);
     xb.writeRow(2, 0xFFFFFFFF, 3);  // INIT1 all bits
@@ -309,18 +310,18 @@ TEST(PagedCrossbar, CompactReElidesDecayedBlocks)
     Crossbar xb(geo, XbarStorage::Paged);
     const auto mask = Range(0, 511, 1).expand(geo.rows);
     // Densify block 0 of slot 6's columns with ones...
-    const HalfGates init1 = expandLogicH(
+    const GateSections init1(expandLogicH(
         MicroOp::logicH(Gate::Init1, 0, 0, geo.column(6, 0),
-                        geo.partitions - 1, 1), geo);
+                        geo.partitions - 1, 1), geo));
     xb.logicH(init1, mask);
     const uint64_t present = xb.storageGauges().blocksPresent;
     EXPECT_EQ(present, 32u);
     EXPECT_EQ(xb.compact(), 0u) << "live blocks must survive compact";
     // ... decay them back to zero: the blocks stay materialised (ops
     // never re-elide inline) until an explicit compact() sweep.
-    const HalfGates init0 = expandLogicH(
+    const GateSections init0(expandLogicH(
         MicroOp::logicH(Gate::Init0, 0, 0, geo.column(6, 0),
-                        geo.partitions - 1, 1), geo);
+                        geo.partitions - 1, 1), geo));
     xb.logicH(init0, mask);
     EXPECT_EQ(xb.storageGauges().blocksPresent, present);
     EXPECT_EQ(xb.compact(), present);
@@ -392,7 +393,7 @@ TEST(PagedCrossbar, FuzzedSparseParityWithDense)
             const uint32_t a = base + rng.word() % pw;
             const uint32_t b = base + rng.word() % pw;
             const uint32_t out = base + rng.word() % pw;
-            const HalfGates hg = gateOn(geo, g, a, b, out);
+            const GateSections hg = gateOn(geo, g, a, b, out);
             paged.logicH(hg, mask);
             dense.logicH(hg, mask);
         } else if (kind < 6) {

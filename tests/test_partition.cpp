@@ -2,12 +2,18 @@
  * @file
  * Tests for the half-gates expansion (paper §III-D, Table I):
  * per-partition opcodes, deduced transistor selects, dynamic sections,
- * and rejection of patterns outside the restricted partition model.
+ * and rejection of patterns outside the restricted partition model —
+ * plus the per-device HalfGateTable that interns expansions: a lookup
+ * must equal a fresh expansion, and a malformed word must throw the
+ * same error on every occurrence without being interned.
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "uarch/partition.hpp"
 
 using namespace pypim;
@@ -206,4 +212,118 @@ TEST(Partition, GateCountsMatchParallelismForms)
     EXPECT_EQ(expandLogicH(MicroOp::logicH(Gate::Nor, col(0, 0),
                                            col(1, 1), col(1, 2), 29, 4),
                            g).numGates, 8u);
+}
+
+// --- interned expansion table ----------------------------------------
+
+namespace
+{
+
+/** Message of the InternalError @p fn throws, or "" if it returns. */
+template <typename Fn>
+std::string
+internalErrorOf(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const InternalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Field-by-field comparison of an entry with a fresh expansion. */
+::testing::AssertionResult
+sameExpansion(const GateSections &entry, const HalfGates &fresh)
+{
+    if (entry.gate != fresh.gate)
+        return ::testing::AssertionFailure() << "gate differs";
+    if (entry.sections.size() != fresh.numSections)
+        return ::testing::AssertionFailure()
+               << "section count " << entry.sections.size() << " vs "
+               << fresh.numSections;
+    for (uint32_t s = 0; s < fresh.numSections; ++s) {
+        const Section &a = entry.sections[s];
+        const Section &b = fresh.sections[s];
+        if (a.begin != b.begin || a.end != b.end ||
+            a.outCol != b.outCol || a.inCol != b.inCol ||
+            a.numIn != b.numIn)
+            return ::testing::AssertionFailure()
+                   << "section " << s << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(HalfGateTable, FuzzedLookupsMatchFreshExpansion)
+{
+    // Random LogicH words over the test geometry: half are fully
+    // random fields (mostly malformed: spans, overlaps, pEnd out of
+    // range), half are structured gates inside one partition span
+    // with a random repetition (mostly valid). Each word is looked up
+    // three times, interleaved with its repeats, so hits, misses and
+    // repeated malformed words are all exercised.
+    const Geometry g = geo();
+    HalfGateTable table(g);
+    Rng rng(20240611);
+    const auto pick = [&](uint32_t n) { return rng.word() % n; };
+    size_t valid = 0, malformed = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const Gate gate = static_cast<Gate>(pick(4));
+        Word w;
+        if (i % 2 == 0) {
+            w = enc::logicH(gate, pick(g.cols), pick(g.cols),
+                            pick(g.cols), pick(64), pick(64));
+        } else {
+            const uint32_t p = pick(4);
+            const uint32_t span = pick(3);
+            const uint32_t step = span + 1 + pick(3);
+            w = enc::logicH(gate, col(p, pick(32)),
+                            col(p + pick(span + 1), pick(32)),
+                            col(p + span, pick(32)),
+                            p + span + step * pick(8), pick(2) * step);
+        }
+        const MicroOp op = MicroOp::decode(w);
+        const std::string want =
+            internalErrorOf([&] { (void)expandLogicH(op, g); });
+        for (int rep = 0; rep < 3; ++rep) {
+            const size_t before = table.size();
+            if (!want.empty()) {
+                EXPECT_EQ(internalErrorOf([&] { table.lookup(w); }), want)
+                    << "word " << std::hex << w;
+                EXPECT_EQ(table.size(), before)
+                    << "a malformed word must not be interned";
+                continue;
+            }
+            const GateSections &entry = table.lookup(w);
+            EXPECT_TRUE(sameExpansion(entry, expandLogicH(op, g)))
+                << "word " << std::hex << w;
+            EXPECT_EQ(&entry, &table.lookup(w))
+                << "an entry must keep its address";
+        }
+        ++(want.empty() ? valid : malformed);
+    }
+    // The generator must really cover both outcomes.
+    EXPECT_GT(valid, 500u);
+    EXPECT_GT(malformed, 500u);
+}
+
+TEST(HalfGateTable, EachWordIsExpandedOnce)
+{
+    const Geometry g = geo();
+    HalfGateTable table(g);
+    const Word a =
+        MicroOp::logicH(Gate::Nor, col(0, 0), col(0, 1), col(0, 2), 31, 1)
+            .encode();
+    const Word b =
+        MicroOp::logicH(Gate::Init1, 0, 0, col(0, 5), 31, 1).encode();
+    const GateSections *first = &table.lookup(a);
+    EXPECT_EQ(table.size(), 1u);
+    table.lookup(b);
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(&table.lookup(a), first);
+        table.lookup(b);
+    }
+    EXPECT_EQ(table.size(), 2u);
 }

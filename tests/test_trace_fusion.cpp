@@ -6,14 +6,20 @@
  * legal patterns (counters checked), never on the alias/conflict
  * negatives, and every prepared trace — fused or not — must replay
  * bit-identically to the serial oracle, repeatedly, on synchronous
- * and pipelined simulators.
+ * and pipelined simulators. The last group covers the device's shared
+ * LogicH expansion table: INIT1-chain merges copy instead of editing
+ * shared entries, each word is expanded once per device, and a
+ * malformed word keeps its error text and report-at-submit point.
  */
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "sim/batch_trace.hpp"
+#include "sim/device_group.hpp"
 #include "sim/simulator.hpp"
 
 using namespace pypim;
@@ -469,4 +475,130 @@ TEST(TraceFusion, PrepareRefusesNonSelfContainedStreams)
               nullptr);
     // prepareTrace must not have advanced any architectural state.
     EXPECT_EQ(sim.stats().totalOps(), 0u);
+}
+
+// --- the shared expansion table ----------------------------------------
+
+TEST(TraceFusion, InitChainMergeLeavesSharedEntriesIntact)
+{
+    // Trace A chain-merges INIT1(slot 3) into INIT1(slot 4); trace B
+    // issues the same INIT1(slot 4) word on its own. Both point at one
+    // table entry, so the merge must go to a new segment-owned entry:
+    // had it appended slot 3's sections to the shared one, B (and the
+    // serial engine) would initialise slot 3 too.
+    const Geometry g = fusionGeometry();
+    const Word init4 = laneInit1(g, 4);
+    const auto a = withMasks(g, {laneInit1(g, 3), init4});
+    const auto b = withMasks(
+        g, {MicroOp::write(3, 0x5A5A5A5Au).encode(), init4,
+            laneNor(g, 0, 3, 4)});
+    for (const EngineConfig &ec :
+         {EngineConfig(), EngineConfig().withCompiledReplay(false),
+          EngineConfig::sharded(2).withPipeline(),
+          EngineConfig::sharded(2).withPipeline().withCompiledReplay(
+              false)}) {
+        Simulator oracle(g);
+        Simulator cand(g, ec);
+        seedState(oracle, cand, 31337);
+        const auto ta = cand.prepareTrace(a.data(), a.size(), true);
+        ASSERT_TRUE(ta != nullptr);
+        EXPECT_EQ(ta->fusion.initChain, 1u);
+        const auto tb = cand.prepareTrace(b.data(), b.size(), true);
+        ASSERT_TRUE(tb != nullptr);
+        EXPECT_EQ(tb->fusion.initChain, 0u);
+        for (int rep = 0; rep < 2; ++rep) {
+            oracle.performBatch(a.data(), a.size());
+            oracle.performBatch(b.data(), b.size());
+            cand.submitTrace(ta);
+            cand.submitTrace(tb);
+            // The uncached path reads the same entry after the merge.
+            oracle.performBatch(b.data(), b.size());
+            cand.submitBatch(b.data(), b.size());
+        }
+        cand.flush();
+        EXPECT_TRUE(sameCrossbarState(oracle, cand));
+        EXPECT_EQ(oracle.stats(), cand.stats());
+        const GateSections fresh(
+            expandLogicH(MicroOp::decode(init4), g));
+        EXPECT_EQ(cand.gates()->lookup(init4).sections.size(),
+                  fresh.sections.size())
+            << "the merge grew the shared entry";
+    }
+}
+
+TEST(TraceFusion, ExpansionTableInternsEachWordOnce)
+{
+    // Serial execution, trace builds and the sub-devices of a group
+    // all draw on one table per device: re-running a stream — cached
+    // or not — never expands a word again.
+    const Geometry g = fusionGeometry();
+    const auto ops = withMasks(
+        g, {laneInit1(g, 3), laneNor(g, 0, 2, 3), laneInit1(g, 5),
+            laneNor(g, 3, 1, 5), laneInit1(g, 3), laneNor(g, 0, 2, 3)});
+    const size_t distinct = 4;
+    for (const EngineConfig &ec :
+         {EngineConfig(), EngineConfig::trace(),
+          EngineConfig::sharded(2).withPipeline()}) {
+        Simulator sim(g, ec);
+        sim.performBatch(ops.data(), ops.size());
+        EXPECT_EQ(sim.gates()->size(), distinct);
+        const auto t = sim.prepareTrace(ops.data(), ops.size(), true);
+        ASSERT_TRUE(t != nullptr);
+        EXPECT_EQ(t->gates, sim.gates());
+        sim.submitTrace(t);
+        sim.performBatch(ops.data(), ops.size());
+        EXPECT_EQ(sim.gates()->size(), distinct);
+    }
+    SimulatorGroup group(g, EngineConfig().withDevices(4));
+    group.performBatch(ops.data(), ops.size());
+    for (uint32_t d = 0; d < group.devices(); ++d)
+        EXPECT_EQ(group.sub(d).gates(), group.sub(0).gates());
+    EXPECT_EQ(group.sub(0).gates()->size(), distinct);
+}
+
+TEST(TraceFusion, MalformedLogicHThrowsAtSubmitWithUnchangedText)
+{
+    // Interning must not move or reword the error: a malformed LogicH
+    // throws the expansion's InternalError at the call that submitted
+    // it, on every occurrence, on the uncached serial path and in a
+    // cached prepareTrace stream — also after valid words are interned.
+    const Geometry g = fusionGeometry();
+    // NOR spanning partitions 0..2, repeated at stride 2: the
+    // repetitions overlap at partition 2.
+    const uint32_t pw = g.partitionWidth();
+    const Word bad = MicroOp::logicH(Gate::Nor, 0, 2 * pw + 1,
+                                     2 * pw + 3, g.partitions - 2, 2)
+                         .encode();
+    const std::string text =
+        "pypim internal error: logicH: repeated gates overlap at "
+        "partition 2";
+    const auto ops = withMasks(g, {laneInit1(g, 3), bad});
+    const auto valid = withMasks(g, {laneInit1(g, 3)});
+    const auto messageOf = [](auto &&fn) -> std::string {
+        try {
+            fn();
+        } catch (const InternalError &e) {
+            return e.what();
+        }
+        return "no InternalError";
+    };
+    for (const EngineConfig &ec :
+         {EngineConfig(), EngineConfig::sharded(2).withPipeline()}) {
+        Simulator sim(g, ec);
+        sim.performBatch(valid.data(), valid.size());
+        const size_t interned = sim.gates()->size();
+        for (int rep = 0; rep < 2; ++rep) {
+            EXPECT_EQ(messageOf([&] {
+                          sim.submitBatch(ops.data(), ops.size());
+                      }),
+                      text);
+            EXPECT_EQ(messageOf([&] {
+                          (void)sim.prepareTrace(ops.data(), ops.size(),
+                                                 true);
+                      }),
+                      text);
+        }
+        sim.flush();  // nothing deferred: every throw came at submit
+        EXPECT_EQ(sim.gates()->size(), interned);
+    }
 }

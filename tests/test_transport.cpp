@@ -224,16 +224,17 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     for (const bool compiled : {false, true}) {
         const std::shared_ptr<const BatchTrace> t = buildWireTrace(
-            ops.data(), ops.size(), true, compiled, g, ht);
+            ops.data(), ops.size(), true, compiled, g, ht, gates);
         ASSERT_TRUE(t);
         EXPECT_EQ(t->wireSig,
                   traceSignature(ops.data(), ops.size(), true));
         const std::vector<uint8_t> img = encodeTraceWire(*t);
         const std::shared_ptr<const BatchTrace> d =
-            decodeTraceWire(img.data(), img.size(), g, ht);
+            decodeTraceWire(img.data(), img.size(), g, ht, gates);
         ASSERT_TRUE(d);
         EXPECT_EQ(d->wireSig, t->wireSig);
         EXPECT_TRUE(d->stats == t->stats);
@@ -246,8 +247,10 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = {MicroOp::write(2, 7).encode()};
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, true, g, ht),
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, true, g, ht,
+                             gates),
               nullptr);
 }
 
@@ -259,17 +262,20 @@ TEST(TraceWire, EveryBitFlipIsRejected)
     // single-bit flip must throw.
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, false, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, false, g, ht,
+                       gates);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t i = 0; i < img.size(); ++i) {
         for (int b = 0; b < 8; ++b) {
             std::vector<uint8_t> bad = img;
             bad[i] ^= static_cast<uint8_t>(1u << b);
-            EXPECT_THROW(decodeTraceWire(bad.data(), bad.size(), g, ht),
-                         Error)
+            EXPECT_THROW(
+                decodeTraceWire(bad.data(), bad.size(), g, ht, gates),
+                Error)
                 << "flip survived at byte " << i << " bit " << b;
         }
     }
@@ -279,16 +285,19 @@ TEST(TraceWire, EveryTruncationIsRejected)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, true, g, ht,
+                       gates);
     ASSERT_TRUE(t);
     std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t n = 0; n < img.size(); ++n)
-        EXPECT_THROW(decodeTraceWire(img.data(), n, g, ht), Error)
+        EXPECT_THROW(decodeTraceWire(img.data(), n, g, ht, gates), Error)
             << "truncation to " << n << " bytes survived";
     img.push_back(0);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht), Error)
+    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht, gates),
+                 Error)
         << "trailing byte survived";
 }
 
@@ -296,15 +305,18 @@ TEST(TraceWire, WrongGeometryIsRejected)
 {
     const Geometry g = testGeometry();
     const HTree ht(g.numCrossbars);
+    const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht);
+        buildWireTrace(ops.data(), ops.size(), true, true, g, ht,
+                       gates);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
     Geometry g2 = g;
     g2.numCrossbars *= 4;
     const HTree ht2(g2.numCrossbars);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g2, ht2),
+    const auto gates2 = std::make_shared<HalfGateTable>(g2);
+    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g2, ht2, gates2),
                  Error);
 }
 
