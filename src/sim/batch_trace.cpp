@@ -29,11 +29,11 @@ leadsWithMasks(const Word *ops, size_t n)
 }
 
 void
-buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
-                const HTree &htree,
+buildBatchTrace(const Word *ops, size_t n, const HTree &htree,
                 const std::shared_ptr<HalfGateTable> &gates,
                 MaskState &mask, BatchTrace &batch)
 {
+    const Geometry &geo = gates->geometry();
     batch.gates = gates;
     batch.geoRows = geo.rows;
     batch.geoCols = geo.cols;
@@ -67,8 +67,8 @@ buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
         while (j < n && !isBarrierOp(enc::peekType(ops[j])))
             ++j;
         SegmentTrace &trace = batch.nextSegment(geo.rows);
-        buildSegmentTrace(ops + i, j - i, geo, *gates, mask,
-                          batch.stats, trace);
+        buildSegmentTrace(ops + i, j - i, *gates, mask, batch.stats,
+                          trace);
         if (trace.empty()) {
             --batch.used;  // mask-only segment: arena back to the pool
         } else {

@@ -176,10 +176,10 @@ bool leadsWithMasks(const Word *ops, size_t n);
  * the architectural stats into batch.stats — including the valid
  * prefix when a malformed op throws — and advances @p mask past the
  * stream, capturing the final state in the batch. LogicH expansions
- * are interned in @p gates, which the batch keeps alive.
+ * are interned in @p gates, which the batch keeps alive; the batch is
+ * decoded for the table's geometry.
  */
-void buildBatchTrace(const Word *ops, size_t n, const Geometry &geo,
-                     const HTree &htree,
+void buildBatchTrace(const Word *ops, size_t n, const HTree &htree,
                      const std::shared_ptr<HalfGateTable> &gates,
                      MaskState &mask, BatchTrace &batch);
 

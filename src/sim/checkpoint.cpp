@@ -9,20 +9,6 @@
 namespace pypim
 {
 
-namespace
-{
-
-bool
-sameGeometry(const Geometry &a, const Geometry &b)
-{
-    return a.rows == b.rows && a.cols == b.cols &&
-           a.partitions == b.partitions && a.wordBits == b.wordBits &&
-           a.numCrossbars == b.numCrossbars &&
-           a.clockHz == b.clockHz && a.userRegs == b.userRegs;
-}
-
-} // namespace
-
 CheckpointImage
 buildGroupImage(const SimulatorGroup &group)
 {
@@ -69,7 +55,7 @@ buildGroupImage(const SimulatorGroup &group)
 void
 restoreGroupImage(SimulatorGroup &group, const CheckpointImage &img)
 {
-    fatalIf(!sameGeometry(group.geometry(), img.geo),
+    fatalIf(!(group.geometry() == img.geo),
             "restore: checkpoint geometry does not match this device");
     // Socket transport: broadcast the image — each worker restores its
     // owned slice (respawning any dead worker first, which is the

@@ -414,8 +414,8 @@ SimulatorGroup::prepareTrace(const Word *ops, size_t n, bool fuse)
     // mirror and stamped with its wire identity, so submitTrace can
     // install it once per worker and replay by signature thereafter.
     if (remote())
-        return buildWireTrace(ops, n, fuse, remoteCompiled_, geo_,
-                              *htree_, gates_);
+        return buildWireTrace(ops, n, fuse, remoteCompiled_, *htree_,
+                              gates_);
     // Building touches no simulated state, and the handle is bound to
     // the (shared) geometry, not a slice: build once via sub-device 0.
     return sims_[0]->prepareTrace(ops, n, fuse);

@@ -15,32 +15,35 @@ namespace pypim
 {
 
 void
-ExecutionEngine::serialPerform(const MicroOp &op)
+ExecutionEngine::serialPerform(Word w)
 {
-    switch (op.type) {
+    switch (enc::peekType(w)) {
       case OpType::CrossbarMask:
-        doCrossbarMask(op);
+        doCrossbarMask(MicroOp::decode(w));
         break;
       case OpType::RowMask:
-        doRowMask(op);
+        doRowMask(MicroOp::decode(w));
         break;
       case OpType::Read:
         // A read issued through the data-less path: execute it for its
         // cycle cost and drop the response.
-        executeRead(op);
-        return;
+        executeRead(MicroOp::decode(w));
+        break;
       case OpType::Write:
-        doWrite(op);
+        doWrite(MicroOp::decode(w));
         break;
       case OpType::LogicH:
-        doLogicH(op.encode());
+        // No decode: the raw word keys the expansion table.
+        doLogicH(w);
         break;
       case OpType::LogicV:
-        doLogicV(op);
+        doLogicV(MicroOp::decode(w));
         break;
       case OpType::Move:
-        doMove(op);
+        doMove(MicroOp::decode(w));
         break;
+      default:
+        MicroOp::decode(w);  // panics: unknown op type
     }
 }
 

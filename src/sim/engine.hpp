@@ -156,8 +156,9 @@ class ExecutionEngine
                             const uint32_t *values);
 
   protected:
-    /** Reference semantics: apply one op to the full crossbar array. */
-    void serialPerform(const MicroOp &op);
+    /** Reference semantics: apply one encoded op to the full crossbar
+     *  array. */
+    void serialPerform(Word w);
 
     /**
      * Split @p ops at the cross-crossbar barriers: barrier ops run
@@ -172,7 +173,7 @@ class ExecutionEngine
         size_t i = 0;
         while (i < n) {
             if (isBarrierOp(enc::peekType(ops[i]))) {
-                serialPerform(MicroOp::decode(ops[i]));
+                serialPerform(ops[i]);
                 ++i;
                 continue;
             }

@@ -51,7 +51,7 @@ SimulatorPipeline::submit(const Word *ops, size_t n)
     BatchTrace &batch = buffers_[buf];
     batch.clear();
     try {
-        buildBatchTrace(ops, n, geo_, htree_, gates_, mask_, batch);
+        buildBatchTrace(ops, n, htree_, gates_, mask_, batch);
     } catch (...) {
         // Report the malformed op at the submitBatch that contained
         // it; none of this batch reached a crossbar, but the valid

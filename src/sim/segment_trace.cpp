@@ -46,10 +46,10 @@ fusableInitNor(const GateSections &init, const GateSections &nor)
 }
 
 void
-buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
-                  HalfGateTable &gates, MaskState &mask, Stats &stats,
-                  SegmentTrace &trace)
+buildSegmentTrace(const Word *ops, size_t n, HalfGateTable &gates,
+                  MaskState &mask, Stats &stats, SegmentTrace &trace)
 {
+    const Geometry &geo = gates.geometry();
     trace.clear(geo.rows);
 
     // Lazily-materialised row-mask snapshot: snapId identifies the

@@ -206,9 +206,9 @@ bool fusableInitNor(const GateSections &init, const GateSections &nor);
  * Panics (InternalError) on a barrier op — callers split at
  * isBarrierOp() first.
  */
-void buildSegmentTrace(const Word *ops, size_t n, const Geometry &geo,
-                       HalfGateTable &gates, MaskState &mask,
-                       Stats &stats, SegmentTrace &trace);
+void buildSegmentTrace(const Word *ops, size_t n, HalfGateTable &gates,
+                       MaskState &mask, Stats &stats,
+                       SegmentTrace &trace);
 
 } // namespace pypim
 

@@ -6,13 +6,8 @@ namespace pypim
 void
 SerialEngine::execute(const Word *ops, size_t n)
 {
-    for (size_t i = 0; i < n; ++i) {
-        // LogicH skips the decode: the raw word keys the expansion.
-        if (enc::peekType(ops[i]) == OpType::LogicH)
-            doLogicH(ops[i]);
-        else
-            serialPerform(MicroOp::decode(ops[i]));
-    }
+    for (size_t i = 0; i < n; ++i)
+        serialPerform(ops[i]);
 }
 
 } // namespace pypim

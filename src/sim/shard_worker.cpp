@@ -51,15 +51,6 @@ classifyCurrent(std::string &msg)
     }
 }
 
-bool
-sameGeometry(const Geometry &a, const Geometry &b)
-{
-    return a.rows == b.rows && a.cols == b.cols &&
-           a.partitions == b.partitions && a.wordBits == b.wordBits &&
-           a.numCrossbars == b.numCrossbars &&
-           a.userRegs == b.userRegs && a.clockHz == b.clockHz;
-}
-
 /** Everything one worker process owns. */
 struct WorkerContext
 {
@@ -113,8 +104,7 @@ void
 handleTraceInstall(WorkerContext &ctx, const WireFrame &f)
 {
     auto trace = decodeTraceWire(f.payload.data(), f.payload.size(),
-                                 ctx.geo, ctx.sim.htree(),
-                                 ctx.sim.gates());
+                                 ctx.sim.htree(), ctx.sim.gates());
     ctx.traces[trace->wireSig] = std::move(trace);
 }
 
@@ -279,7 +269,7 @@ std::vector<uint8_t>
 handleStateRestore(WorkerContext &ctx, const WireFrame &f)
 {
     const CheckpointImage img = decodeCheckpoint(f.payload);
-    fatalIf(!sameGeometry(img.geo, ctx.geo),
+    fatalIf(!(img.geo == ctx.geo),
             "state restore: image geometry does not match this worker");
     // The worker-side mirror of restoreGroupImage, clipped to the
     // owned slice: clear any pipeline error, rewrite the architectural

@@ -50,8 +50,7 @@ void
 ShardedEngine::execute(const Word *ops, size_t n)
 {
     forEachSegment(ops, n, [&](const Word *seg, size_t len) {
-        buildSegmentTrace(seg, len, geo_, gates_, mask_, stats_,
-                          trace_);
+        buildSegmentTrace(seg, len, gates_, mask_, stats_, trace_);
         replayTrace(trace_);
     });
 }

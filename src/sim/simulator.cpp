@@ -25,6 +25,8 @@ Simulator::Simulator(const Geometry &geo, const EngineConfig &ec,
     geo_.validate();
     if (!gates_)
         gates_ = std::make_shared<HalfGateTable>(geo_);
+    panicIf(!(gates_->geometry() == geo_),
+            "simulator: expansion table built for another geometry");
     fatalIf(sliceCount == 0 || sliceCount > geo_.numCrossbars ||
                 sliceLo > geo_.numCrossbars - sliceCount,
             "simulator: crossbar slice [" + std::to_string(sliceLo) +
@@ -253,7 +255,7 @@ Simulator::prepareTrace(const Word *ops, size_t n, bool fuse)
     MaskState local;
     local.reset(geo_);
     try {
-        buildBatchTrace(ops, n, geo_, htree_, gates_, local, *batch);
+        buildBatchTrace(ops, n, htree_, gates_, local, *batch);
     } catch (...) {
         // Match the accounting of an uncached submit, which records
         // the valid prefix before throwing.

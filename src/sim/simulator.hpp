@@ -68,7 +68,7 @@ class Simulator : public OperationSink
      * BatchTrace handles built by any same-geometry simulator replay
      * unchanged on every slice. Sub-devices of one logical device
      * pass the device's shared expansion table as @p gates (null: a
-     * table of this simulator's own).
+     * table of this simulator's own); it must be built for @p geo.
      */
     Simulator(const Geometry &geo, const EngineConfig &ec,
               uint32_t sliceLo, uint32_t sliceCount,

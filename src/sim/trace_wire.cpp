@@ -180,9 +180,10 @@ traceSignature(const Word *ops, size_t n, bool fuse)
 
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
-               const Geometry &geo, const HTree &htree,
+               const HTree &htree,
                const std::shared_ptr<HalfGateTable> &gates)
 {
+    const Geometry &geo = gates->geometry();
     if (!leadsWithMasks(ops, n))
         return nullptr;
     auto batch = std::make_shared<BatchTrace>();
@@ -190,7 +191,7 @@ buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
     // mask state (Simulator::prepareTrace's local-MaskState mirror).
     MaskState local;
     local.reset(geo);
-    buildBatchTrace(ops, n, geo, htree, gates, local, *batch);
+    buildBatchTrace(ops, n, htree, gates, local, *batch);
     if (fuse)
         fuseBatchTrace(*batch, geo);
     if (compiled)
@@ -230,10 +231,10 @@ encodeTraceWire(const BatchTrace &trace)
 }
 
 std::shared_ptr<const BatchTrace>
-decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
-                const HTree &htree,
+decodeTraceWire(const uint8_t *bytes, size_t n, const HTree &htree,
                 const std::shared_ptr<HalfGateTable> &gates)
 {
+    const Geometry &geo = gates->geometry();
     ByteReader r(bytes, n);
     fatalIf(r.u32() != kTraceMagic,
             "trace wire: bad magic (not a trace image)");
@@ -273,7 +274,7 @@ decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
     auto batch = std::make_shared<BatchTrace>();
     MaskState local;
     local.reset(geo);
-    buildBatchTrace(ops.data(), ops.size(), geo, htree, gates, local,
+    buildBatchTrace(ops.data(), ops.size(), htree, gates, local,
                     *batch);
     if (fuse)
         fuseBatchTrace(*batch, geo);

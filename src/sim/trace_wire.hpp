@@ -59,11 +59,11 @@ uint64_t traceSignature(const Word *ops, size_t n, bool fuse);
  * sourceFuse). Unlike the Simulator path, a malformed stream throws
  * without any stats side effect — the caller owns no counters.
  * LogicH expansions are interned in @p gates (the logical device's
- * table, on the host).
+ * table, on the host), whose geometry the trace is built for.
  */
 std::shared_ptr<const BatchTrace>
 buildWireTrace(const Word *ops, size_t n, bool fuse, bool compiled,
-               const Geometry &geo, const HTree &htree,
+               const HTree &htree,
                const std::shared_ptr<HalfGateTable> &gates);
 
 /** Encode @p trace (which must carry its wire identity) into one
@@ -72,15 +72,14 @@ std::vector<uint8_t> encodeTraceWire(const BatchTrace &trace);
 
 /**
  * Decode an image produced by encodeTraceWire into a freshly rebuilt
- * frozen trace for @p geo, verifying the magic/version/geometry
+ * frozen trace for the geometry of @p gates, verifying the magic/version/geometry
  * guards, the signature, and the architectural epilogue cross-check.
  * Shipped ReplayPrograms are installed verbatim; the rebuild interns
  * its LogicH expansions in @p gates (the receiving worker's table).
  * Throws pypim::Error on any mismatch or truncation.
  */
 std::shared_ptr<const BatchTrace>
-decodeTraceWire(const uint8_t *bytes, size_t n, const Geometry &geo,
-                const HTree &htree,
+decodeTraceWire(const uint8_t *bytes, size_t n, const HTree &htree,
                 const std::shared_ptr<HalfGateTable> &gates);
 
 } // namespace pypim

@@ -148,6 +148,9 @@ class HalfGateTable
     /** Distinct words expanded so far (one expansion each). */
     size_t size() const { return entries_.size(); }
 
+    /** The geometry every entry was expanded for. */
+    const Geometry &geometry() const { return geo_; }
+
   private:
     const Geometry geo_;
     /** Node-based: rehashing never moves an entry. */

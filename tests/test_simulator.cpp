@@ -168,3 +168,15 @@ TEST_F(SimulatorTest, GeometryValidationRejectsBadConfigs)
     g.userRegs = 31;  // leaves < 4 scratch slots
     EXPECT_THROW(Simulator s(g), Error);
 }
+
+TEST_F(SimulatorTest, SharedExpansionTableMustMatchGeometry)
+{
+    const Geometry g = testGeometry();
+    EXPECT_NO_THROW(Simulator s(g, EngineConfig(), 0, g.numCrossbars,
+                                std::make_shared<HalfGateTable>(g)));
+    Geometry other = g;
+    other.numCrossbars *= 4;
+    EXPECT_THROW(Simulator s(g, EngineConfig(), 0, g.numCrossbars,
+                             std::make_shared<HalfGateTable>(other)),
+                 InternalError);
+}

@@ -228,13 +228,13 @@ TEST(TraceWire, RoundTripRebuildsIdenticalTrace)
     const std::vector<Word> ops = tracedStream(g);
     for (const bool compiled : {false, true}) {
         const std::shared_ptr<const BatchTrace> t = buildWireTrace(
-            ops.data(), ops.size(), true, compiled, g, ht, gates);
+            ops.data(), ops.size(), true, compiled, ht, gates);
         ASSERT_TRUE(t);
         EXPECT_EQ(t->wireSig,
                   traceSignature(ops.data(), ops.size(), true));
         const std::vector<uint8_t> img = encodeTraceWire(*t);
         const std::shared_ptr<const BatchTrace> d =
-            decodeTraceWire(img.data(), img.size(), g, ht, gates);
+            decodeTraceWire(img.data(), img.size(), ht, gates);
         ASSERT_TRUE(d);
         EXPECT_EQ(d->wireSig, t->wireSig);
         EXPECT_TRUE(d->stats == t->stats);
@@ -249,7 +249,7 @@ TEST(TraceWire, StreamWithoutLeadingMasksIsNotWireable)
     const HTree ht(g.numCrossbars);
     const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = {MicroOp::write(2, 7).encode()};
-    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, true, g, ht,
+    EXPECT_EQ(buildWireTrace(ops.data(), ops.size(), true, true, ht,
                              gates),
               nullptr);
 }
@@ -265,7 +265,7 @@ TEST(TraceWire, EveryBitFlipIsRejected)
     const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, false, g, ht,
+        buildWireTrace(ops.data(), ops.size(), true, false, ht,
                        gates);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
@@ -274,7 +274,7 @@ TEST(TraceWire, EveryBitFlipIsRejected)
             std::vector<uint8_t> bad = img;
             bad[i] ^= static_cast<uint8_t>(1u << b);
             EXPECT_THROW(
-                decodeTraceWire(bad.data(), bad.size(), g, ht, gates),
+                decodeTraceWire(bad.data(), bad.size(), ht, gates),
                 Error)
                 << "flip survived at byte " << i << " bit " << b;
         }
@@ -288,15 +288,15 @@ TEST(TraceWire, EveryTruncationIsRejected)
     const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht,
+        buildWireTrace(ops.data(), ops.size(), true, true, ht,
                        gates);
     ASSERT_TRUE(t);
     std::vector<uint8_t> img = encodeTraceWire(*t);
     for (size_t n = 0; n < img.size(); ++n)
-        EXPECT_THROW(decodeTraceWire(img.data(), n, g, ht, gates), Error)
+        EXPECT_THROW(decodeTraceWire(img.data(), n, ht, gates), Error)
             << "truncation to " << n << " bytes survived";
     img.push_back(0);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g, ht, gates),
+    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), ht, gates),
                  Error)
         << "trailing byte survived";
 }
@@ -308,7 +308,7 @@ TEST(TraceWire, WrongGeometryIsRejected)
     const auto gates = std::make_shared<HalfGateTable>(g);
     const std::vector<Word> ops = tracedStream(g);
     const std::shared_ptr<const BatchTrace> t =
-        buildWireTrace(ops.data(), ops.size(), true, true, g, ht,
+        buildWireTrace(ops.data(), ops.size(), true, true, ht,
                        gates);
     ASSERT_TRUE(t);
     const std::vector<uint8_t> img = encodeTraceWire(*t);
@@ -316,7 +316,7 @@ TEST(TraceWire, WrongGeometryIsRejected)
     g2.numCrossbars *= 4;
     const HTree ht2(g2.numCrossbars);
     const auto gates2 = std::make_shared<HalfGateTable>(g2);
-    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), g2, ht2, gates2),
+    EXPECT_THROW(decodeTraceWire(img.data(), img.size(), ht2, gates2),
                  Error);
 }
 
